@@ -39,18 +39,16 @@ func fail(err error) {
 // loop in a served process exposes them alongside memstats; the -perf
 // flag renders the same map on stderr.
 var (
-	simStats      = expvar.NewMap("asim")
-	statAnalyses  = new(expvar.Int)
-	statNewton    = new(expvar.Int)
-	statSolves    = new(expvar.Int)
-	statACWorkers = new(expvar.Int)
+	simStats     = expvar.NewMap("asim")
+	statAnalyses = new(expvar.Int)
+	statNewton   = new(expvar.Int)
+	statSolves   = new(expvar.Int)
 )
 
 func init() {
 	simStats.Set("analyses", statAnalyses)
 	simStats.Set("newton_iterations", statNewton)
 	simStats.Set("linear_solves", statSolves)
-	simStats.Set("ac_workers", statACWorkers)
 }
 
 func main() {
@@ -188,11 +186,7 @@ func runAC(n *circuit.Netlist, probes []string, arg string) {
 	if err != nil {
 		fail(err)
 	}
-	// The sweep is bit-identical for any worker count, so parallelism is
-	// free to follow the machine size.
-	workers := runtime.GOMAXPROCS(0)
-	statACWorkers.Set(int64(workers))
-	res, err := analysis.ACDecadeWorkers(n, op, fStart, fStop, ppd, workers, nil)
+	res, err := analysis.ACDecadeWith(n, op, fStart, fStop, ppd, nil)
 	if err != nil {
 		fail(err)
 	}

@@ -3,8 +3,6 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"analogyield/internal/circuit"
 	"analogyield/internal/num"
@@ -41,52 +39,52 @@ func AC(n *circuit.Netlist, op *OPResult, freqs []float64) (*ACResult, error) {
 	return ACWith(n, op, freqs, nil)
 }
 
-// stampAC assembles the small-signal system of n at frequency f into
-// cw.A and cw.B, linearised about op. Device stamps only write into the
-// supplied buffers, so concurrent stamping into distinct workspaces is
-// safe.
-func stampAC(n *circuit.Netlist, op *OPResult, f float64, cw *num.CWorkspace) {
-	cw.A.Zero()
-	for i := range cw.B {
-		cw.B[i] = 0
+// acSweep solves the small-signal system of n at every frequency of
+// freqs and hands each solution to keep, which must copy what it needs
+// (x is overwritten by the next point).
+//
+// The netlist is linearised about op once per sweep (see
+// circuit.ACStamps): every device, and so the compact model of every
+// MOSFET, is stamped once, and each point replays the recorded entries
+// into a zeroed matrix. The sweep's reference factorisation — the first
+// frequency under full partial pivoting — fixes the pivot order every
+// point reuses (with a deterministic per-point fallback when the values
+// drift too far; see num.RefactorInto), so each point's solution
+// depends only on its frequency and the reference.
+func acSweep(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace, keep func(i int, x []complex128)) error {
+	if err := validateFreqs(freqs); err != nil {
+		return err
 	}
-	ctx := &circuit.ACCtx{A: cw.A, B: cw.B, Omega: 2 * math.Pi * f, DC: op.X}
-	for di, d := range n.Devices() {
-		d.StampAC(ctx, n.BranchBase(di))
+	lin := ws.acStamps()
+	lin.Linearise(n, op.X)
+	cw := ws.cplx(lin.Order())
+	ref := ws.acReference(lin.Order())
+	nn := n.NumNodes()
+	assembleAC(lin, nn, freqs[0], cw)
+	if err := ref.FactorInto(cw.A); err != nil {
+		return fmt.Errorf("analysis: AC solve at %g Hz: %w", freqs[0], err)
 	}
+	for i, f := range freqs {
+		if i > 0 { // FactorInto left the first point's system intact
+			assembleAC(lin, nn, f, cw)
+		}
+		if _, err := cw.LU.RefactorInto(cw.A, ref); err != nil {
+			return fmt.Errorf("analysis: AC solve at %g Hz: %w", f, err)
+		}
+		cw.LU.Solve(cw.B, cw.X)
+		keep(i, cw.X)
+	}
+	return nil
+}
+
+// assembleAC writes the system at frequency f into cw.A and cw.B.
+func assembleAC(lin *circuit.ACStamps, numNodes int, f float64, cw *num.CWorkspace) {
+	lin.Assemble(2*math.Pi*f, cw.A, cw.B)
 	// A tiny conductance to ground keeps floating small-signal nodes
 	// (e.g. isolated gates) solvable without affecting results.
-	for i := 0; i < n.NumNodes(); i++ {
+	for i := 0; i < numNodes; i++ {
 		cw.A.Add(i, i, complex(1e-12, 0))
 	}
-}
-
-// acReference factors the sweep's reference system — the first
-// frequency, under full partial pivoting — into ref. Matrix values
-// change smoothly with frequency while the structure is fixed, so every
-// sweep point can reuse the reference pivot order (with a deterministic
-// per-point fallback when the values drift too far; see
-// num.RefactorInto). Because each point's solve depends only on (f,
-// ref), never on which point was solved before it, a sweep computes
-// bit-identical results for any worker count.
-func acReference(n *circuit.Netlist, op *OPResult, f0 float64, cw *num.CWorkspace, ref *num.CLU) error {
-	stampAC(n, op, f0, cw)
-	if err := ref.FactorInto(cw.A); err != nil {
-		return fmt.Errorf("analysis: AC solve at %g Hz: %w", f0, err)
-	}
-	return nil
-}
-
-// acSolve computes the solution at one frequency into res.X[i], reusing
-// the reference pivot order.
-func acSolve(n *circuit.Netlist, op *OPResult, f float64, cw *num.CWorkspace, ref *num.CLU, res *ACResult, i int) error {
-	stampAC(n, op, f, cw)
-	if _, err := cw.LU.RefactorInto(cw.A, ref); err != nil {
-		return fmt.Errorf("analysis: AC solve at %g Hz: %w", f, err)
-	}
-	cw.LU.Solve(cw.B, cw.X)
-	res.X[i] = append([]complex128(nil), cw.X...)
-	return nil
 }
 
 func validateFreqs(freqs []float64) error {
@@ -101,88 +99,41 @@ func validateFreqs(freqs []float64) error {
 	return nil
 }
 
-// ACWith is AC with reusable solver buffers: each frequency point
-// stamps, refactors and solves through ws instead of allocating a fresh
-// complex system. A nil ws allocates internally once per call.
+// ACWith is AC with reusable solver buffers: the netlist is linearised
+// and every frequency point assembled, refactored and solved through ws
+// instead of allocating a fresh complex system. A nil ws allocates
+// internally once per call.
 func ACWith(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace) (*ACResult, error) {
-	if err := validateFreqs(freqs); err != nil {
-		return nil, err
-	}
 	nu := n.NumUnknowns()
-	res := &ACResult{Freqs: append([]float64(nil), freqs...), net: n}
-	res.X = make([][]complex128, len(freqs))
-	cw := ws.cplx(nu)
-	ref := ws.acReference(nu)
-	if err := acReference(n, op, freqs[0], cw, ref); err != nil {
+	res := &ACResult{Freqs: append([]float64(nil), freqs...), X: make([][]complex128, len(freqs)), net: n}
+	rows := make([]complex128, len(freqs)*nu)
+	err := acSweep(n, op, freqs, ws, func(i int, x []complex128) {
+		res.X[i] = rows[i*nu : (i+1)*nu : (i+1)*nu]
+		copy(res.X[i], x)
+	})
+	if err != nil {
 		return nil, err
-	}
-	for i, f := range freqs {
-		if err := acSolve(n, op, f, cw, ref, res, i); err != nil {
-			return nil, err
-		}
 	}
 	return res, nil
 }
 
-// ACWithWorkers is ACWith fanned out over a pool of goroutines, each
-// with its own solver buffers, claiming frequency points off a shared
-// atomic counter. Every point reuses the pivot order of the shared
-// read-only reference factorisation (first frequency, full pivoting),
-// so the result is bit-identical to ACWith — and to itself — for any
-// workers value. workers <= 1, or a sweep of one point, runs serially.
-func ACWithWorkers(n *circuit.Netlist, op *OPResult, freqs []float64, workers int, ws *Workspace) (*ACResult, error) {
-	if workers > len(freqs) {
-		workers = len(freqs)
+// ACNode is ACWith keeping only the response at one node: it returns
+// V(node) at each frequency, so a sweep allocates nothing per point.
+func ACNode(n *circuit.Netlist, op *OPResult, node string, freqs []float64, ws *Workspace) ([]complex128, error) {
+	idx, ok := n.NodeIndex(node)
+	if !ok {
+		return nil, fmt.Errorf("analysis: unknown node %q", node)
 	}
-	if workers <= 1 {
-		return ACWith(n, op, freqs, ws)
-	}
-	if err := validateFreqs(freqs); err != nil {
-		return nil, err
-	}
-	nu := n.NumUnknowns()
-	res := &ACResult{Freqs: append([]float64(nil), freqs...), net: n}
-	res.X = make([][]complex128, len(freqs))
-	cw := ws.cplx(nu)
-	ref := ws.acReference(nu)
-	if err := acReference(n, op, freqs[0], cw, ref); err != nil {
-		return nil, err
-	}
-	var (
-		next  atomic.Int64
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	for w := 0; w < workers; w++ {
-		wcw := cw // worker 0 reuses the caller's buffers
-		if w > 0 {
-			wcw = num.NewCWorkspace(nu)
+	out := make([]complex128, len(freqs))
+	err := acSweep(n, op, freqs, ws, func(i int, x []complex128) {
+		if idx != circuit.Ground {
+			out[i] = x[idx]
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(freqs) {
-					return
-				}
-				if err := acSolve(n, op, freqs[i], wcw, ref, res, i); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if first != nil {
-		return nil, first
-	}
-	return res, nil
+	return out, nil
 }
 
 // ACDecade sweeps pointsPerDecade logarithmically spaced frequencies
@@ -193,12 +144,17 @@ func ACDecade(n *circuit.Netlist, op *OPResult, fStart, fStop float64, pointsPer
 
 // ACDecadeWith is ACDecade with reusable solver buffers (see ACWith).
 func ACDecadeWith(n *circuit.Netlist, op *OPResult, fStart, fStop float64, pointsPerDecade int, ws *Workspace) (*ACResult, error) {
-	return ACDecadeWorkers(n, op, fStart, fStop, pointsPerDecade, 1, ws)
+	freqs, err := DecadeFreqs(fStart, fStop, pointsPerDecade)
+	if err != nil {
+		return nil, err
+	}
+	return ACWith(n, op, freqs, ws)
 }
 
-// ACDecadeWorkers is ACDecadeWith fanned out over a worker pool (see
-// ACWithWorkers); the result is bit-identical for any workers value.
-func ACDecadeWorkers(n *circuit.Netlist, op *OPResult, fStart, fStop float64, pointsPerDecade, workers int, ws *Workspace) (*ACResult, error) {
+// DecadeFreqs returns the frequencies of an ACDecade sweep:
+// pointsPerDecade logarithmically spaced points from fStart to fStop
+// (inclusive endpoints; pointsPerDecade < 1 selects 10).
+func DecadeFreqs(fStart, fStop float64, pointsPerDecade int) ([]float64, error) {
 	if fStart <= 0 || fStop <= fStart {
 		return nil, fmt.Errorf("analysis: bad AC range [%g, %g]", fStart, fStop)
 	}
@@ -210,5 +166,5 @@ func ACDecadeWorkers(n *circuit.Netlist, op *OPResult, fStart, fStop float64, po
 	if npts < 2 {
 		npts = 2
 	}
-	return ACWithWorkers(n, op, num.Logspace(fStart, fStop, npts), workers, ws)
+	return num.Logspace(fStart, fStop, npts), nil
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"runtime"
 	"testing"
 
 	"analogyield/internal/circuit"
@@ -130,30 +129,60 @@ func BenchmarkACSweepWS(b *testing.B) {
 	}
 }
 
-// TestACSweepSteadyStateAllocs bounds the per-frequency allocations of a
-// workspace-backed AC sweep: the result rows plus a handful of
-// fixed-size header objects, independent of iteration count.
+// BenchmarkACNodeWS is BenchmarkACSweepWS keeping only the output
+// node's response — the sweep every circuit evaluation runs.
+func BenchmarkACNodeWS(b *testing.B) {
+	n := benchAmp(b)
+	op, err := OP(n, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	freqs := num.Logspace(1e3, 1e9, 60)
+	ws := NewWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ACNode(n, op, "d", freqs, ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestACSweepSteadyStateAllocs bounds the allocations of a
+// workspace-backed AC sweep. Neither path allocates per frequency: the
+// full sweep keeps its solutions in one backing array, and the
+// single-node path keeps only the node's response.
 func TestACSweepSteadyStateAllocs(t *testing.T) {
 	n := benchAmp(t)
 	op, err := OP(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freqs := num.Logspace(1e3, 1e9, 60)
-	ws := NewWorkspace()
-	if _, err := ACWith(n, op, freqs, ws); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	for _, npts := range []int{6, 60, 600} {
+		freqs := num.Logspace(1e3, 1e9, npts)
+		ws := NewWorkspace()
 		if _, err := ACWith(n, op, freqs, ws); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// Output rows: one solution slice per frequency plus one stamp
-	// context, the Freqs copy, the X header and the result struct.
-	budget := float64(len(freqs) + 2*len(freqs) + 8)
-	if allocs > budget {
-		t.Errorf("AC sweep allocates %v objects/op, want <= %v", allocs, budget)
+		// The Freqs copy, the X header, the solution array and the
+		// result struct.
+		full := testing.AllocsPerRun(20, func() {
+			if _, err := ACWith(n, op, freqs, ws); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if full > 4 {
+			t.Errorf("%d-point AC sweep allocates %v objects/op, want <= 4", npts, full)
+		}
+		// The response slice.
+		node := testing.AllocsPerRun(20, func() {
+			if _, err := ACNode(n, op, "d", freqs, ws); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if node > 1 {
+			t.Errorf("%d-point single-node AC sweep allocates %v objects/op, want <= 1", npts, node)
+		}
 	}
 }
 
@@ -166,26 +195,6 @@ func BenchmarkTranWS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Tran(n, TranOptions{TStop: 100e-9, TStep: 1e-9, WS: ws}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkACSweepWorkers is BenchmarkACSweepWS fanned out over
-// GOMAXPROCS workers through the shared reference factorisation.
-func BenchmarkACSweepWorkers(b *testing.B) {
-	n := benchAmp(b)
-	op, err := OP(n, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	freqs := num.Logspace(1e3, 1e9, 60)
-	ws := NewWorkspace()
-	workers := runtime.GOMAXPROCS(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ACWithWorkers(n, op, freqs, workers, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

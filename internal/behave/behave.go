@@ -70,7 +70,7 @@ func (a *Amp) StampDC(ctx *circuit.DCCtx, _ int) { a.stamp(ctx.AddJ) }
 
 // StampAC stamps the linear amplifier.
 func (a *Amp) StampAC(ctx *circuit.ACCtx, _ int) {
-	a.stamp(func(i, j int, v float64) { ctx.AddA(i, j, complex(v, 0)) })
+	a.stamp(func(i, j int, v float64) { ctx.AddY(i, j, v, 0) })
 }
 
 // StampTran stamps the linear amplifier.
@@ -113,9 +113,9 @@ func (o *OTA) StampDC(ctx *circuit.DCCtx, _ int) { o.stamp(ctx.AddJ) }
 
 // StampAC stamps the transconductor plus its output capacitance.
 func (o *OTA) StampAC(ctx *circuit.ACCtx, _ int) {
-	o.stamp(func(i, j int, v float64) { ctx.AddA(i, j, complex(v, 0)) })
+	o.stamp(func(i, j int, v float64) { ctx.AddY(i, j, v, 0) })
 	if o.Co > 0 {
-		ctx.AddA(o.Out, o.Out, complex(0, ctx.Omega*o.Co))
+		ctx.AddY(o.Out, o.Out, 0, o.Co)
 	}
 }
 

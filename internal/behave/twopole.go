@@ -61,7 +61,8 @@ func (a *TwoPoleAmp) StampDC(ctx *circuit.DCCtx, _ int) { a.stampReal(ctx.AddJ) 
 func (a *TwoPoleAmp) StampTran(ctx *circuit.TranCtx, _ int) { a.stampReal(ctx.AddJ) }
 
 // StampAC stamps the amplifier with the controlled source rolled off by
-// the second pole.
+// the second pole. That stamp is not affine in ω, so it goes through
+// AddA and is re-stamped at every sweep frequency.
 func (a *TwoPoleAmp) StampAC(ctx *circuit.ACCtx, _ int) {
 	g := complex(1/a.Ro, 0)
 	k := complex(a.K(), 0)

@@ -24,7 +24,7 @@ func (r *Resistor) Copy() Device { c := *r; return &c }
 func (r *Resistor) StampDC(ctx *DCCtx, _ int) { ctx.StampConductance(r.A, r.B, 1/r.R) }
 
 // StampAC stamps the conductance.
-func (r *Resistor) StampAC(ctx *ACCtx, _ int) { ctx.StampAdmittance(r.A, r.B, complex(1/r.R, 0)) }
+func (r *Resistor) StampAC(ctx *ACCtx, _ int) { ctx.StampY(r.A, r.B, 1/r.R, 0) }
 
 // StampTran stamps the conductance.
 func (r *Resistor) StampTran(ctx *TranCtx, _ int) { ctx.StampConductance(r.A, r.B, 1/r.R) }
@@ -49,9 +49,7 @@ func (c *Capacitor) Copy() Device { d := *c; return &d }
 func (c *Capacitor) StampDC(_ *DCCtx, _ int) {}
 
 // StampAC stamps the admittance jωC.
-func (c *Capacitor) StampAC(ctx *ACCtx, _ int) {
-	ctx.StampAdmittance(c.A, c.B, complex(0, ctx.Omega*c.C))
-}
+func (c *Capacitor) StampAC(ctx *ACCtx, _ int) { ctx.StampY(c.A, c.B, 0, c.C) }
 
 // StampTran stamps the trapezoidal companion model
 //
@@ -111,11 +109,11 @@ func (l *Inductor) StampDC(ctx *DCCtx, bb int) {
 
 // StampAC stamps v(A)−v(B) = jωL·i.
 func (l *Inductor) StampAC(ctx *ACCtx, bb int) {
-	ctx.AddA(l.A, bb, 1)
-	ctx.AddA(l.B, bb, -1)
-	ctx.AddA(bb, l.A, 1)
-	ctx.AddA(bb, l.B, -1)
-	ctx.AddA(bb, bb, complex(0, -ctx.Omega*l.L))
+	ctx.AddY(l.A, bb, 1, 0)
+	ctx.AddY(l.B, bb, -1, 0)
+	ctx.AddY(bb, l.A, 1, 0)
+	ctx.AddY(bb, l.B, -1, 0)
+	ctx.AddY(bb, bb, 0, -l.L)
 }
 
 // StampTran stamps the backward-Euler companion
@@ -207,10 +205,10 @@ func (v *VSource) StampDC(ctx *DCCtx, bb int) {
 
 // StampAC stamps the small-signal branch equation.
 func (v *VSource) StampAC(ctx *ACCtx, bb int) {
-	ctx.AddA(v.Pos, bb, 1)
-	ctx.AddA(v.Neg, bb, -1)
-	ctx.AddA(bb, v.Pos, 1)
-	ctx.AddA(bb, v.Neg, -1)
+	ctx.AddY(v.Pos, bb, 1, 0)
+	ctx.AddY(v.Neg, bb, -1, 0)
+	ctx.AddY(bb, v.Pos, 1, 0)
+	ctx.AddY(bb, v.Neg, -1, 0)
 	ctx.AddB(bb, complex(v.ACMag, 0))
 }
 
@@ -298,7 +296,7 @@ func (e *VCVS) StampDC(ctx *DCCtx, bb int) { e.stampReal(ctx.AddJ, bb) }
 
 // StampAC stamps the controlled branch.
 func (e *VCVS) StampAC(ctx *ACCtx, bb int) {
-	e.stampReal(func(i, j int, v float64) { ctx.AddA(i, j, complex(v, 0)) }, bb)
+	e.stampReal(func(i, j int, v float64) { ctx.AddY(i, j, v, 0) }, bb)
 }
 
 // StampTran stamps the controlled branch.
@@ -333,7 +331,7 @@ func (g *VCCS) StampDC(ctx *DCCtx, _ int) { g.stampReal(ctx.AddJ) }
 
 // StampAC stamps the transconductance.
 func (g *VCCS) StampAC(ctx *ACCtx, _ int) {
-	g.stampReal(func(i, j int, v float64) { ctx.AddA(i, j, complex(v, 0)) })
+	g.stampReal(func(i, j int, v float64) { ctx.AddY(i, j, v, 0) })
 }
 
 // StampTran stamps the transconductance.

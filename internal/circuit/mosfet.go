@@ -60,23 +60,21 @@ func (m *MOSFET) StampDC(ctx *DCCtx, _ int) {
 func (m *MOSFET) StampAC(ctx *ACCtx, _ int) {
 	vg, vd, vs, vb := ctx.VDC(m.G), ctx.VDC(m.D), ctx.VDC(m.S), ctx.VDC(m.B)
 	op := m.Model.Eval(m.W, m.L, vg, vd, vs, vb)
-	gm, gds, gmb := complex(op.Gm, 0), complex(op.Gds, 0), complex(op.Gmb, 0)
-	gs := -(gm + gds + gmb)
-	ctx.AddA(m.D, m.G, gm)
-	ctx.AddA(m.D, m.D, gds)
-	ctx.AddA(m.D, m.B, gmb)
-	ctx.AddA(m.D, m.S, gs)
-	ctx.AddA(m.S, m.G, -gm)
-	ctx.AddA(m.S, m.D, -gds)
-	ctx.AddA(m.S, m.B, -gmb)
-	ctx.AddA(m.S, m.S, -gs)
+	gs := -(op.Gm + op.Gds + op.Gmb)
+	ctx.AddY(m.D, m.G, op.Gm, 0)
+	ctx.AddY(m.D, m.D, op.Gds, 0)
+	ctx.AddY(m.D, m.B, op.Gmb, 0)
+	ctx.AddY(m.D, m.S, gs, 0)
+	ctx.AddY(m.S, m.G, -op.Gm, 0)
+	ctx.AddY(m.S, m.D, -op.Gds, 0)
+	ctx.AddY(m.S, m.B, -op.Gmb, 0)
+	ctx.AddY(m.S, m.S, -gs, 0)
 
-	w := ctx.Omega
-	ctx.StampAdmittance(m.G, m.S, complex(0, w*op.Cgs))
-	ctx.StampAdmittance(m.G, m.D, complex(0, w*op.Cgd))
-	ctx.StampAdmittance(m.G, m.B, complex(0, w*op.Cgb))
-	ctx.StampAdmittance(m.S, m.B, complex(0, w*op.Csb))
-	ctx.StampAdmittance(m.D, m.B, complex(0, w*op.Cdb))
+	ctx.StampY(m.G, m.S, 0, op.Cgs)
+	ctx.StampY(m.G, m.D, 0, op.Cgd)
+	ctx.StampY(m.G, m.B, 0, op.Cgb)
+	ctx.StampY(m.S, m.B, 0, op.Csb)
+	ctx.StampY(m.D, m.B, 0, op.Cdb)
 }
 
 // StampTran stamps the nonlinear current companion (as in DC) plus

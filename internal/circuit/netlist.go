@@ -25,6 +25,9 @@ type Netlist struct {
 	byName   map[string]int
 	branches []int // branch-base per device (offset into branch unknowns)
 	nBranch  int
+	// basedOn is the node count branches was last derived for; a
+	// device's base moves only when nodes are interned after it is added.
+	basedOn int
 }
 
 // New returns an empty netlist.
@@ -99,7 +102,6 @@ func (n *Netlist) Add(d Device) error {
 	n.devices = append(n.devices, d)
 	n.branches = append(n.branches, len(n.names)+n.nBranch) // provisional
 	n.nBranch += d.Branches()
-	n.rebase()
 	return nil
 }
 
@@ -111,14 +113,14 @@ func (n *Netlist) MustAdd(d Device) {
 	}
 }
 
-// rebase recomputes branch bases; node count may have grown since a
-// device was added, so bases are derived fresh each time.
+// rebase recomputes branch bases for the current node count.
 func (n *Netlist) rebase() {
 	base := len(n.names)
 	for i, d := range n.devices {
 		n.branches[i] = base
 		base += d.Branches()
 	}
+	n.basedOn = len(n.names)
 }
 
 // Devices returns the device list in insertion order. The returned slice
@@ -134,9 +136,13 @@ func (n *Netlist) Device(name string) Device {
 }
 
 // BranchBase returns the first unknown index of device i's branch
-// currents. It recomputes lazily so node interning after Add is safe.
+// currents. Bases are recomputed lazily, and only when nodes have been
+// interned since the last recomputation, so node interning after Add is
+// safe and a stamp pass over all devices stays linear in their number.
 func (n *Netlist) BranchBase(i int) int {
-	n.rebase()
+	if n.basedOn != len(n.names) {
+		n.rebase()
+	}
 	return n.branches[i]
 }
 

@@ -97,6 +97,38 @@ func TestBranchBaseAfterLateNodes(t *testing.T) {
 	}
 }
 
+// TestBranchBaseTracksNodeCount: bases are cached between calls, yet a
+// node interned after Add — even after the bases were last read — must
+// still shift every branch base, and a device added afterwards must
+// land after the existing branches.
+func TestBranchBaseTracksNodeCount(t *testing.T) {
+	n := New("t")
+	a := n.Node("a")
+	n.MustAdd(&VSource{Inst: "V1", Pos: a, Neg: Ground, DC: 1})
+	n.MustAdd(&Resistor{Inst: "R1", A: a, B: Ground, R: 1e3})
+	n.MustAdd(&Inductor{Inst: "L1", A: a, B: Ground, L: 1e-6})
+	if got := n.BranchBase(2); got != 2 {
+		t.Fatalf("BranchBase(L1) = %d, want 2", got)
+	}
+	n.Node("late")
+	if got := n.BranchBase(0); got != 2 {
+		t.Errorf("BranchBase(V1) after a late node = %d, want 2", got)
+	}
+	if got := n.BranchBase(2); got != 3 {
+		t.Errorf("BranchBase(L1) after a late node = %d, want 3", got)
+	}
+	n.MustAdd(&VSource{Inst: "V2", Pos: a, Neg: Ground, DC: 1})
+	n.Node("later")
+	for i, want := range []int{3, 4, 4, 5} {
+		if got := n.BranchBase(i); got != want {
+			t.Errorf("BranchBase(%d) = %d, want %d", i, got, want)
+		}
+	}
+	if n.NumUnknowns() != 6 {
+		t.Errorf("NumUnknowns = %d, want 6", n.NumUnknowns())
+	}
+}
+
 func TestDeviceLookup(t *testing.T) {
 	n := New("t")
 	a := n.Node("a")

@@ -78,12 +78,26 @@ func (c *DCCtx) StampCurrent(a, b int, i float64) {
 	c.AddB(b, i)
 }
 
-// ACCtx carries the complex small-signal system.
+// ACCtx carries the complex small-signal system. A device stamps an
+// admittance g + jω·cv with AddY or StampY, and its stimulus with AddB.
+// The context is used in two modes:
+//
+//   - direct: every stamp is added into A and B at the angular frequency
+//     Omega (a context built with A, B, Omega and DC set);
+//   - linearising (see ACStamps): every AddY and AddB is recorded once,
+//     frequency-independent, and replayed at each sweep frequency.
+//
+// AddA adds a ready-made complex value. It is for devices whose stamp
+// is not affine in ω; a device that calls it while linearising is not
+// recorded but re-stamped directly at every frequency.
 type ACCtx struct {
 	A     *num.CMatrix
 	B     []complex128
 	Omega float64   // rad/s
 	DC    []float64 // solved DC operating point (node voltages + branches)
+
+	rec     *ACStamps // non-nil while linearising
+	dynamic bool      // the device being recorded called AddA
 }
 
 // VDC returns the DC bias voltage of a node (0 for Ground).
@@ -94,8 +108,32 @@ func (c *ACCtx) VDC(node int) float64 {
 	return c.DC[node]
 }
 
-// AddA stamps a complex admittance-matrix entry.
+// AddY stamps the admittance g + jω·cv into entry (i, j).
+func (c *ACCtx) AddY(i, j int, g, cv float64) {
+	if i == Ground || j == Ground {
+		return
+	}
+	if c.rec != nil {
+		c.rec.addY(i, j, g, cv)
+		return
+	}
+	c.A.Add(i, j, complex(g, c.Omega*cv))
+}
+
+// StampY stamps a two-terminal admittance g + jω·cv between nodes a, b.
+func (c *ACCtx) StampY(a, b int, g, cv float64) {
+	c.AddY(a, a, g, cv)
+	c.AddY(b, b, g, cv)
+	c.AddY(a, b, -g, -cv)
+	c.AddY(b, a, -g, -cv)
+}
+
+// AddA stamps a complex admittance-matrix entry computed at Omega.
 func (c *ACCtx) AddA(i, j int, v complex128) {
+	if c.rec != nil {
+		c.dynamic = true
+		return
+	}
 	if i == Ground || j == Ground {
 		return
 	}
@@ -107,10 +145,15 @@ func (c *ACCtx) AddB(i int, v complex128) {
 	if i == Ground {
 		return
 	}
+	if c.rec != nil {
+		c.rec.b = append(c.rec.b, rhsEntry{i, v})
+		return
+	}
 	c.B[i] += v
 }
 
-// StampAdmittance stamps a two-terminal admittance between nodes a, b.
+// StampAdmittance stamps a two-terminal admittance between nodes a, b
+// through AddA.
 func (c *ACCtx) StampAdmittance(a, b int, y complex128) {
 	c.AddA(a, a, y)
 	c.AddA(b, b, y)

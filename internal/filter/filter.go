@@ -183,15 +183,15 @@ func Measure(n *circuit.Netlist, spec Spec) (Response, error) {
 	if err != nil {
 		return Response{}, fmt.Errorf("filter: %w", err)
 	}
-	ac, err := analysis.ACDecade(n, op, fStart, fStop, 12)
+	freqs, err := analysis.DecadeFreqs(fStart, fStop, 12)
 	if err != nil {
 		return Response{}, fmt.Errorf("filter: %w", err)
 	}
-	tf, err := ac.V("out")
+	tf, err := analysis.ACNode(n, op, "out", freqs, nil)
 	if err != nil {
-		return Response{}, err
+		return Response{}, fmt.Errorf("filter: %w", err)
 	}
-	return reduce(ac.Freqs, tf, spec)
+	return reduce(freqs, tf, spec)
 }
 
 func reduce(freqs []float64, tf []complex128, spec Spec) (Response, error) {

@@ -157,6 +157,13 @@ func modelFor(base mos.Params, sample *process.Sample, w, l float64) mos.Params 
 // with ACMag 1); the inverting gate is held at the common mode. The
 // open-loop transfer function is V(out)/V(in).
 func (c Config) Build(p Params, sample *process.Sample) *circuit.Netlist {
+	n, _ := c.build(p, sample)
+	return n
+}
+
+// build is Build that also returns the instance's ten transistors in
+// device order (see resize).
+func (c Config) build(p Params, sample *process.Sample) (*circuit.Netlist, [10]*circuit.MOSFET) {
 	n := circuit.New("symmetrical OTA testbench")
 	vdd := n.Node("vdd")
 	inp := n.Node("inp") // non-inverting input (signal)
@@ -184,8 +191,8 @@ func (c Config) Build(p Params, sample *process.Sample) *circuit.Netlist {
 	n.MustAdd(&circuit.Resistor{Inst: "RFB", A: out, B: inn, R: 1e9})
 	n.MustAdd(&circuit.Capacitor{Inst: "CFB", A: inn, B: gnd, C: 1})
 
-	c.AddInstance(n, "", vdd, inp, inn, out, n1, n2, outm, tail, bias, p, sample)
-	return n
+	ms := c.AddInstance(n, "", vdd, inp, inn, out, n1, n2, outm, tail, bias, p, sample)
+	return n, ms
 }
 
 // AddInstance adds the ten transistors of one symmetrical OTA to an
@@ -193,38 +200,50 @@ func (c Config) Build(p Params, sample *process.Sample) *circuit.Netlist {
 // lets larger circuits, like the §5 filter, instantiate several OTAs
 // with private internal nodes). Device names get the given prefix, so
 // instances stay uniquely named. The bias mirror (M9/M10) is included;
-// the caller supplies the bias node fed by a current reference.
+// the caller supplies the bias node fed by a current reference. It
+// returns the transistors in device order M1..M10 (see resize).
 func (c Config) AddInstance(n *circuit.Netlist, prefix string,
 	vdd, inp, inn, out, n1, n2, outm, tail, bias int,
-	p Params, sample *process.Sample) {
+	p Params, sample *process.Sample) [10]*circuit.MOSFET {
 	gnd := circuit.Ground
-	name := func(s string) string { return prefix + s }
-	// Differential pair: M2 takes the signal (non-inverting path to the
-	// output through M4/M6), M1 is the inverting-side device.
-	n.MustAdd(&circuit.MOSFET{Inst: name("M1"), D: n1, G: inn, S: tail, B: gnd,
-		W: c.M1W, L: c.M1L, Model: modelFor(c.NMOS, sample, c.M1W, c.M1L)})
-	n.MustAdd(&circuit.MOSFET{Inst: name("M2"), D: n2, G: inp, S: tail, B: gnd,
-		W: c.M1W, L: c.M1L, Model: modelFor(c.NMOS, sample, c.M1W, c.M1L)})
-	// PMOS diode loads.
-	n.MustAdd(&circuit.MOSFET{Inst: name("M3"), D: n1, G: n1, S: vdd, B: vdd,
-		W: p.W1, L: p.L1, Model: modelFor(c.PMOS, sample, p.W1, p.L1)})
-	n.MustAdd(&circuit.MOSFET{Inst: name("M4"), D: n2, G: n2, S: vdd, B: vdd,
-		W: p.W1, L: p.L1, Model: modelFor(c.PMOS, sample, p.W1, p.L1)})
-	// PMOS mirror outputs.
-	n.MustAdd(&circuit.MOSFET{Inst: name("M5"), D: outm, G: n1, S: vdd, B: vdd,
-		W: p.W2, L: p.L2, Model: modelFor(c.PMOS, sample, p.W2, p.L2)})
-	n.MustAdd(&circuit.MOSFET{Inst: name("M6"), D: out, G: n2, S: vdd, B: vdd,
-		W: p.W2, L: p.L2, Model: modelFor(c.PMOS, sample, p.W2, p.L2)})
-	// NMOS output mirror.
-	n.MustAdd(&circuit.MOSFET{Inst: name("M7"), D: outm, G: outm, S: gnd, B: gnd,
-		W: p.W3, L: p.L3, Model: modelFor(c.NMOS, sample, p.W3, p.L3)})
-	n.MustAdd(&circuit.MOSFET{Inst: name("M8"), D: out, G: outm, S: gnd, B: gnd,
-		W: p.W3, L: p.L3, Model: modelFor(c.NMOS, sample, p.W3, p.L3)})
-	// Bias/tail mirror.
-	n.MustAdd(&circuit.MOSFET{Inst: name("M9"), D: bias, G: bias, S: gnd, B: gnd,
-		W: p.W4, L: p.L4, Model: modelFor(c.NMOS, sample, p.W4, p.L4)})
-	n.MustAdd(&circuit.MOSFET{Inst: name("M10"), D: tail, G: bias, S: gnd, B: gnd,
-		W: p.W4, L: p.L4, Model: modelFor(c.NMOS, sample, p.W4, p.L4)})
+	// Terminals (D, G, S, B) in device order M1..M10.
+	terms := [10][4]int{
+		// Differential pair: M2 takes the signal (non-inverting path to
+		// the output through M4/M6), M1 is the inverting-side device.
+		{n1, inn, tail, gnd}, {n2, inp, tail, gnd},
+		{n1, n1, vdd, vdd}, {n2, n2, vdd, vdd}, // PMOS diode loads
+		{outm, n1, vdd, vdd}, {out, n2, vdd, vdd}, // PMOS mirror outputs
+		{outm, outm, gnd, gnd}, {out, outm, gnd, gnd}, // NMOS output mirror
+		{bias, bias, gnd, gnd}, {tail, bias, gnd, gnd}, // bias/tail mirror
+	}
+	var ms [10]*circuit.MOSFET
+	for i, t := range terms {
+		ms[i] = &circuit.MOSFET{Inst: fmt.Sprintf("%sM%d", prefix, i+1), D: t[0], G: t[1], S: t[2], B: t[3]}
+	}
+	c.resize(ms, p, sample)
+	for _, m := range ms {
+		n.MustAdd(m)
+	}
+	return ms
+}
+
+// resize sets the geometry and device model of an instance's ten
+// transistors ms (device order M1..M10). When sample is non-nil each
+// receives its own statistical shift (global + Pelgrom mismatch), drawn
+// in device order for determinism.
+func (c Config) resize(ms [10]*circuit.MOSFET, p Params, sample *process.Sample) {
+	for i, d := range [10]struct {
+		base mos.Params
+		w, l float64
+	}{
+		{c.NMOS, c.M1W, c.M1L}, {c.NMOS, c.M1W, c.M1L}, // differential pair (fixed)
+		{c.PMOS, p.W1, p.L1}, {c.PMOS, p.W1, p.L1},
+		{c.PMOS, p.W2, p.L2}, {c.PMOS, p.W2, p.L2},
+		{c.NMOS, p.W3, p.L3}, {c.NMOS, p.W3, p.L3},
+		{c.NMOS, p.W4, p.L4}, {c.NMOS, p.W4, p.L4},
+	} {
+		ms[i].W, ms[i].L, ms[i].Model = d.w, d.l, modelFor(d.base, sample, d.w, d.l)
+	}
 }
 
 // Perf holds the measured performance of one OTA instance.
@@ -252,9 +271,11 @@ func (c Config) Evaluate(p Params, sample *process.Sample) (Perf, error) {
 
 // EvaluateWS is Evaluate with a reusable solver workspace: the operating
 // point and AC sweep solve through ws instead of allocating fresh
-// matrices, factorisations and vectors. A nil ws allocates internally
-// (identical to Evaluate). A workspace serves one goroutine at a time —
-// give each evaluation worker its own.
+// matrices, factorisations and vectors, and the testbench netlist is
+// built on the workspace's first evaluation and re-sized for each later
+// one. Results are bit-identical to Evaluate's. A nil ws allocates
+// internally (identical to Evaluate). A workspace serves one goroutine
+// at a time — give each evaluation worker its own.
 func (c Config) EvaluateWS(p Params, sample *process.Sample, ws *analysis.Workspace) (Perf, error) {
 	freqs, tf, vout, err := c.response(p, sample, 10, ws)
 	if err != nil {
@@ -270,25 +291,50 @@ func (c Config) Response(p Params, sample *process.Sample, pointsPerDecade int) 
 	return freqs, tf, err
 }
 
+// testbench is the open-loop testbench one evaluation worker reuses:
+// built once per analysis.Workspace, then re-sized for each evaluation.
+type testbench struct {
+	cfg   Config
+	n     *circuit.Netlist
+	ms    [10]*circuit.MOSFET
+	ppd   int
+	freqs []float64
+}
+
+type testbenchKey struct{}
+
+func newTestbench() any { return new(testbench) }
+
+// response simulates the testbench kept in ws (see testbench). The
+// returned frequencies belong to that testbench when ws is non-nil.
 func (c Config) response(p Params, sample *process.Sample, ppd int, ws *analysis.Workspace) ([]float64, []complex128, float64, error) {
 	if err := validate(p); err != nil {
 		return nil, nil, 0, err
 	}
-	n := c.Build(p, sample)
-	op, err := analysis.OP(n, &analysis.OPOptions{WS: ws})
+	tb := ws.Memo(testbenchKey{}, newTestbench).(*testbench)
+	if tb.n == nil || tb.cfg != c {
+		tb.cfg = c
+		tb.n, tb.ms = c.build(p, sample)
+	} else {
+		c.resize(tb.ms, p, sample)
+	}
+	if tb.freqs == nil || tb.ppd != ppd {
+		freqs, err := analysis.DecadeFreqs(sweepStart, sweepStop, ppd)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		tb.ppd, tb.freqs = ppd, freqs
+	}
+	op, err := analysis.OP(tb.n, &analysis.OPOptions{WS: ws})
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("ota: %w", err)
 	}
 	vout, _ := op.V("out")
-	ac, err := analysis.ACDecadeWith(n, op, sweepStart, sweepStop, ppd, ws)
+	tf, err := analysis.ACNode(tb.n, op, "out", tb.freqs, ws)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("ota: %w", err)
 	}
-	tf, err := ac.V("out")
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return ac.Freqs, tf, vout, nil
+	return tb.freqs, tf, vout, nil
 }
 
 func perfFrom(freqs []float64, tf []complex128, vout float64) (Perf, error) {

@@ -3,6 +3,7 @@ package ota
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"analogyield/internal/analysis"
@@ -289,5 +290,88 @@ func TestOTAUnityGainStepResponse(t *testing.T) {
 	expect := p.MirrorRatio() * c.IBias / c.CLoad
 	if sr < expect/5 || sr > expect*5 {
 		t.Errorf("slew rate %.3g V/s, expect ~%.3g", sr, expect)
+	}
+}
+
+// TestEvaluateWSReusesTestbench: a worker's workspace keeps one
+// testbench and re-sizes it per evaluation, so every evaluation must
+// equal a fresh build's, bit for bit, whatever the workspace evaluated
+// before — other sizings, process samples, a rejected sizing, another
+// configuration.
+func TestEvaluateWSReusesTestbench(t *testing.T) {
+	proc := process.C35()
+	space := DefaultSpace()
+	rng := rand.New(rand.NewSource(11))
+	other := DefaultConfig()
+	other.CLoad = 3e-12
+	ws := analysis.NewWorkspace()
+	for i := 0; i < 24; i++ {
+		c := DefaultConfig()
+		if i%7 == 6 {
+			c = other
+		}
+		genes := make([]float64, 8)
+		for k := range genes {
+			genes[k] = rng.Float64()
+		}
+		p, err := space.Denormalize(genes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 4 {
+			bad := p
+			bad.L2 = -1
+			if _, err := c.EvaluateWS(bad, nil, ws); err == nil {
+				t.Fatal("negative length accepted")
+			}
+		}
+		var fresh, reused *process.Sample
+		if i%2 == 1 {
+			fresh, reused = proc.NewSample(5, i), proc.NewSample(5, i)
+		}
+		want, werr := c.Evaluate(p, fresh)
+		got, gerr := c.EvaluateWS(p, reused, ws)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("evaluation %d: error %v, want %v", i, gerr, werr)
+		}
+		for k, pair := range [][2]float64{
+			{got.GainDB, want.GainDB}, {got.PMDeg, want.PMDeg}, {got.UnityHz, want.UnityHz},
+			{got.BW3dB, want.BW3dB}, {got.VOut, want.VOut},
+		} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("evaluation %d: field %d = %v, want %v (bit-exact)", i, k, pair[0], pair[1])
+			}
+		}
+	}
+}
+
+// TestEvaluateWSAllocs pins the bytes one evaluation allocates through
+// a reused workspace: the testbench, solver buffers and sweep
+// frequencies are kept, so only the operating point and the output
+// response are allocated. The bound is a quarter of what an evaluation
+// allocated when it rebuilt the netlist and kept every node's full AC
+// solution (29 KB).
+func TestEvaluateWSAllocs(t *testing.T) {
+	c := DefaultConfig()
+	p := NominalParams()
+	ws := analysis.NewWorkspace()
+	eval := func() {
+		if _, err := c.EvaluateWS(p, nil, ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eval()
+	const runs = 50
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		eval()
+	}
+	runtime.ReadMemStats(&m1)
+	if b := (m1.TotalAlloc - m0.TotalAlloc) / runs; b > 7*1024 {
+		t.Errorf("EvaluateWS allocates %d B/op, want <= 7 KiB", b)
+	}
+	if n := testing.AllocsPerRun(runs, eval); n > 8 {
+		t.Errorf("EvaluateWS allocates %v objects/op, want <= 8", n)
 	}
 }

@@ -15,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_COUNT:-1}"
-PKGS="./internal/num ./internal/analysis ./internal/wbga ./internal/pareto ./internal/montecarlo ./internal/core ./internal/spline ./internal/table ./internal/server"
+PKGS="./internal/num ./internal/analysis ./internal/ota ./internal/wbga ./internal/pareto ./internal/montecarlo ./internal/core ./internal/spline ./internal/table ./internal/server"
 OUT=benchmarks/latest.txt
 JSON=benchmarks/BENCH_flow.json
 
@@ -56,12 +56,14 @@ echo "== wrote $JSON"
 # estimate's variance, per evaluation actually spent (the custom
 # naive_evals_ratio metric; the headline claim is >= 10). Kept out of
 # the baseline comparison: its ns/op is dominated by a fixed simulation
-# budget and its value lives in the custom metrics.
+# budget and its value lives in the custom metrics. Those metrics depend
+# on the iteration count, so it runs exactly one iteration: otherwise a
+# faster machine or simulator would report different estimates.
 MCOUT=benchmarks/mc_latest.txt
 MCJSON=benchmarks/BENCH_mc.json
 echo
 echo "== benchmarking MC variance reduction"
-go test -run '^$' -bench 'BenchmarkMCNaiveVsIS' -count 1 . | tee "$MCOUT"
+go test -run '^$' -bench 'BenchmarkMCNaiveVsIS' -benchtime 1x -count 1 . | tee "$MCOUT"
 
 # Reduce to name -> {metric: value} keeping every reported unit
 # (ns_per_op, naive_evals_ratio, ess, yield_pct, ...).
