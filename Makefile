@@ -8,7 +8,7 @@ build:
 vet:
 	go vet ./...
 
-# go vet + staticcheck (when installed).
+# gofmt + go vet + staticcheck (when installed).
 lint:
 	scripts/lint.sh
 

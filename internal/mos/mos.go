@@ -129,63 +129,139 @@ func (p Params) leff(l float64) float64 {
 	return le
 }
 
-// idsPrimitive evaluates the NMOS-frame drain current for vds >= 0.
-func (p Params) idsPrimitive(w, l, vgs, vds, vbs float64) (id, vov, vdsat float64, sat bool) {
-	le := p.leff(l)
-	// Body effect with a smooth clamp keeping the sqrt argument positive.
-	vto := math.Abs(p.VTO)
-	arg := p.Phi - vbs
+// stencil is one Eval's view of the model: the constants every point of
+// its finite-difference stencil shares, and the threshold and overdrive
+// of the stencil's base point, reused by any later point whose inputs
+// have the same bits.
+//
+// Every value is computed by the same floating-point operations, in the
+// same order, as an independent evaluation of each point would use, so
+// sharing changes no bit of the result. The reuse is keyed on
+// math.Float64bits rather than ==, so that a key never matches a value
+// that compares equal but differs in its bits (−0 and +0).
+type stencil struct {
+	pmos     bool
+	vto      float64 // |VTO|
+	gamma    float64
+	phi      float64
+	sqrtPhi  float64 // √Phi
+	nvt      float64 // 2·NSub·kT/q, the softplus scale
+	kpwl     float64 // KP·(W/Leff)
+	lambda   float64 // LambdaK/Leff
+	vgs, vbs uint64  // bits of the base point's conducting-frame vgs and vbs
+	vth, vov float64 // the base point's threshold and overdrive
+}
+
+// newStencil computes the per-call constants for a device of effective
+// length le.
+func (p Params) newStencil(w, le float64) stencil {
+	return stencil{
+		pmos:    p.Class == process.PMOS,
+		vto:     math.Abs(p.VTO),
+		gamma:   p.Gamma,
+		phi:     p.Phi,
+		sqrtPhi: math.Sqrt(p.Phi),
+		nvt:     2 * p.NSub * vTherm,
+		kpwl:    p.KP * (w / le),
+		lambda:  p.LambdaK / le,
+	}
+}
+
+// threshold is the threshold magnitude at bulk-source voltage vbs: the
+// body effect with a smooth clamp keeping the sqrt argument positive.
+func (s *stencil) threshold(vbs float64) float64 {
+	arg := s.phi - vbs
 	const argMin = 0.05
 	if arg < argMin {
 		arg = argMin
 	}
-	vth := vto + p.Gamma*(math.Sqrt(arg)-math.Sqrt(p.Phi))
-	// Smooth overdrive (softplus): strong inversion → vgs−vth,
-	// subthreshold → exponentially small but non-zero.
-	nvt := 2 * p.NSub * vTherm
-	x := (vgs - vth) / nvt
+	return s.vto + s.gamma*(math.Sqrt(arg)-s.sqrtPhi)
+}
+
+// overdrive is the smooth overdrive (softplus): strong inversion →
+// vgs−vth, subthreshold → exponentially small but non-zero.
+func (s *stencil) overdrive(vgs, vth float64) float64 {
+	x := (vgs - vth) / s.nvt
 	switch {
 	case x > 40:
-		vov = vgs - vth
+		return vgs - vth
 	case x < -40:
-		vov = nvt * math.Exp(x)
+		return s.nvt * math.Exp(x)
 	default:
-		vov = nvt * math.Log1p(math.Exp(x))
+		return s.nvt * math.Log1p(math.Exp(x))
 	}
+}
+
+// drain is the NMOS-frame drain current for vds >= 0 at overdrive vov,
+// with the saturation voltage it used.
+//
+// The order-4 blend 1/(1 + r⁴)^¼ is written without math.Pow, with the
+// operations math.Pow itself performs for these exponents:
+//
+//   - r⁴ is the square of the rounded square, as Pow's repeated
+//     squaring of the mantissa computes it wherever r⁴ is a normal
+//     number (below that range 1 + r⁴ is 1 either way, above it both
+//     overflow). The float64 conversion
+//     forbids fusing r2*r2 with the following addition into an FMA,
+//     which the compiler would otherwise do on arm64.
+//   - y^¼ is Exp(¼·Log(y)), the fractional-exponent step of the pure-Go
+//     math.pow. On s390x, where math.Pow has an assembly implementation
+//     instead, this rewrite is not bit-identical to math.Pow.
+func (s *stencil) drain(vds, vov float64) (id, vdsat float64) {
 	vdsat = vov
 	if vdsat < 1e-9 {
 		vdsat = 1e-9
 	}
-	// Smooth effective vds (order-4 blend between triode and saturation).
 	r := vds / vdsat
-	vdse := vds / math.Pow(1+math.Pow(r, 4), 0.25)
-	lambda := p.LambdaK / le
-	id = p.KP * (w / le) * (vov*vdse - 0.5*vdse*vdse) * (1 + lambda*vds)
-	return id, vov, vdsat, vds > vdsat
+	r2 := r * r
+	vdse := vds / math.Exp(0.25*math.Log(1+float64(r2*r2)))
+	id = s.kpwl * (vov*vdse - 0.5*vdse*vdse) * (1 + s.lambda*vds)
+	return id, vdsat
 }
 
-// drainCurrent returns the signed current into the drain terminal for
-// absolute terminal voltages, handling PMOS mirroring and source/drain
-// swap so the model is symmetric about vds = 0.
-func (p Params) drainCurrent(w, l, vg, vd, vs, vb float64) float64 {
-	if p.Class == process.PMOS {
-		// Mirror into the NMOS frame.
+// frame maps absolute terminal voltages into the conducting NMOS frame:
+// PMOS mirrored, drain and source swapped when vd < vs so the model is
+// symmetric about vds = 0. sign turns the frame's current back into the
+// current into the drain terminal.
+func (s *stencil) frame(vg, vd, vs, vb float64) (vgs, vds, vbs, sign float64, swapped bool) {
+	if s.pmos {
 		vg, vd, vs, vb = -vg, -vd, -vs, -vb
 	}
-	sign := 1.0
-	if vd < vs {
+	sign = 1.0
+	if swapped = vd < vs; swapped {
 		vd, vs = vs, vd
 		sign = -1
 	}
-	id, _, _, _ := p.idsPrimitive(w, l, vg-vs, vd-vs, vb-vs)
-	if p.Class == process.PMOS {
+	if s.pmos {
 		sign = -sign
 	}
+	return vg - vs, vd - vs, vb - vs, sign, swapped
+}
+
+// current returns the signed current into the drain terminal at a
+// neighbour of the base point. A point whose conducting-frame vbs (and
+// vgs) has the bits of the base point's reuses the base threshold (and
+// overdrive): the drain steps of the stencil skip both, the gate steps
+// the threshold. A drain step that crosses vs changes frame and simply
+// misses the keys.
+func (s *stencil) current(vg, vd, vs, vb float64) float64 {
+	vgs, vds, vbs, sign, _ := s.frame(vg, vd, vs, vb)
+	vth, vov := s.vth, s.vov
+	if math.Float64bits(vbs) != s.vbs {
+		vth = s.threshold(vbs)
+		vov = s.overdrive(vgs, vth)
+	} else if math.Float64bits(vgs) != s.vgs {
+		vov = s.overdrive(vgs, vth)
+	}
+	id, _ := s.drain(vds, vov)
 	return sign * id
 }
 
 // Eval computes the full operating point of a device with the given
 // geometry at absolute terminal voltages (gate, drain, source, bulk).
+//
+// The conductances come from a seven-point central-difference stencil
+// around the base point; see stencil for what the points share.
 func (p Params) Eval(w, l, vg, vd, vs, vb float64) OP {
 	if w <= 0 || l <= 0 {
 		panic(fmt.Sprintf("mos: non-positive geometry W=%g L=%g", w, l))
@@ -193,43 +269,35 @@ func (p Params) Eval(w, l, vg, vd, vs, vb float64) OP {
 	op := OP{
 		Vgs: vg - vs, Vds: vd - vs, Vbs: vb - vs,
 	}
-	op.Id = p.drainCurrent(w, l, vg, vd, vs, vb)
+	le := p.leff(l)
+	s := p.newStencil(w, le)
+
+	// Base point and region bookkeeping, in the conducting frame.
+	fvgs, fvds, fvbs, sign, swapped := s.frame(vg, vd, vs, vb)
+	s.vth = s.threshold(fvbs)
+	s.vov = s.overdrive(fvgs, s.vth)
+	s.vgs, s.vbs = math.Float64bits(fvgs), math.Float64bits(fvbs)
+	id, vdsat := s.drain(fvds, s.vov)
+	op.Id = sign * id
+	op.Vov, op.Saturated, op.Swapped = s.vov, fvds > vdsat, swapped
+	if s.pmos {
+		op.Vth = -s.vth
+	} else {
+		op.Vth = s.vth
+	}
 
 	// Small-signal conductances by central finite differences on the
 	// smooth current function. The step is far above double-precision
 	// noise and far below any feature size of the model.
 	const h = 1e-6
-	op.Gm = (p.drainCurrent(w, l, vg+h, vd, vs, vb) - p.drainCurrent(w, l, vg-h, vd, vs, vb)) / (2 * h)
-	op.Gds = (p.drainCurrent(w, l, vg, vd+h, vs, vb) - p.drainCurrent(w, l, vg, vd-h, vs, vb)) / (2 * h)
-	op.Gmb = (p.drainCurrent(w, l, vg, vd, vs, vb+h) - p.drainCurrent(w, l, vg, vd, vs, vb-h)) / (2 * h)
-
-	// Region bookkeeping in the conducting frame.
-	fvg, fvd, fvs, fvb := vg, vd, vs, vb
-	if p.Class == process.PMOS {
-		fvg, fvd, fvs, fvb = -vg, -vd, -vs, -vb
-	}
-	swapped := fvd < fvs
-	if swapped {
-		fvd, fvs = fvs, fvd
-	}
-	_, vov, vdsat, sat := p.idsPrimitive(w, l, fvg-fvs, fvd-fvs, fvb-fvs)
-	op.Vov, op.Saturated, op.Swapped = vov, sat, swapped
-	arg := p.Phi - (fvb - fvs)
-	if arg < 0.05 {
-		arg = 0.05
-	}
-	vthMag := math.Abs(p.VTO) + p.Gamma*(math.Sqrt(arg)-math.Sqrt(p.Phi))
-	if p.Class == process.PMOS {
-		op.Vth = -vthMag
-	} else {
-		op.Vth = vthMag
-	}
+	op.Gm = (s.current(vg+h, vd, vs, vb) - s.current(vg-h, vd, vs, vb)) / (2 * h)
+	op.Gds = (s.current(vg, vd+h, vs, vb) - s.current(vg, vd-h, vs, vb)) / (2 * h)
+	op.Gmb = (s.current(vg, vd, vs, vb+h) - s.current(vg, vd, vs, vb-h)) / (2 * h)
 
 	// Meyer capacitances, blended between triode (½/½) and saturation
 	// (⅔/0) by the saturation ratio.
-	le := p.leff(l)
 	cch := w * le * p.Cox
-	ratio := (fvd - fvs) / vdsat
+	ratio := fvds / vdsat
 	if ratio > 1 {
 		ratio = 1
 	}

@@ -382,6 +382,12 @@ func parseDevice(n *circuit.Netlist, line string, models map[string]mos.Params, 
 				return fmt.Errorf("%s: unknown parameter %q", name, key)
 			}
 		}
+		// The compact model is only defined for positive, finite
+		// geometry; reject anything else here rather than let the first
+		// analysis panic inside mos.Eval.
+		if !(w > 0) || math.IsInf(w, 0) || !(l > 0) || math.IsInf(l, 0) {
+			return fmt.Errorf("%s: W=%g L=%g: geometry must be positive and finite", name, w, l)
+		}
 		return n.Add(&circuit.MOSFET{Inst: name,
 			D: node(f[1]), G: node(f[2]), S: node(f[3]), B: node(f[4]),
 			W: w, L: l, Model: model})

@@ -201,6 +201,29 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+func TestParseRejectsBadGeometry(t *testing.T) {
+	for _, src := range []string{
+		"M1 vdd vdd 0 0 nmos W=0 L=1u\n",
+		"M1 vdd vdd 0 0 nmos W=10u L=-1u\n",
+		"M1 vdd vdd 0 0 nmos W=1e308meg L=1u\n", // overflows to +Inf
+		"Mload vdd vdd 0 0 pmos L=0\n",
+	} {
+		_, err := ParseString(src)
+		if err == nil {
+			t.Errorf("accepted %q", src)
+			continue
+		}
+		if inst := strings.Fields(src)[0]; !strings.Contains(err.Error(), inst) {
+			t.Errorf("%q: error %q does not name the instance %s", src, err, inst)
+		}
+	}
+	// Inside a subcircuit the error names the expanded instance.
+	src := ".subckt cell a b\nM1 a a b b nmos W=0 L=1u\n.ends\nX1 n1 0 cell\n"
+	if _, err := ParseString(src); err == nil || !strings.Contains(err.Error(), "M1") {
+		t.Errorf("subcircuit device with W=0: error %v, want one naming M1", err)
+	}
+}
+
 func TestParseStopsAtEnd(t *testing.T) {
 	n, err := ParseString("R1 a 0 1k\n.end\nR2 b 0 2k\n")
 	if err != nil {

@@ -284,6 +284,7 @@ type CLU struct {
 	lu  []complex128
 	piv []int
 	y   []complex128 // Solve scratch
+	nz  []int        // RefactorInto scratch: nonzero columns of a pivot row
 	ok  bool         // a successful factorisation is present (pivots valid)
 }
 

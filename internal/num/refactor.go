@@ -151,11 +151,76 @@ func cAbs1(v complex128) float64 {
 	return math.Abs(real(v)) + math.Abs(imag(v))
 }
 
+// cDivisor divides by a fixed nonzero complex number m with exactly the
+// operations of Go's complex128 division, the runtime's complex128div
+// (Smith's algorithm). The ratio of m's parts and the denominator depend
+// on m alone, so they are computed once instead of once per quotient;
+// every quotient is then the same two expressions, evaluated in the same
+// order, as the runtime evaluates them, so it has the same bits (on
+// arm64 the compiler fuses the same multiply-adds in both). The quotient
+// of +0, which elimination meets at every structural zero below a
+// pivot, is kept.
+type cDivisor struct {
+	m            complex128
+	ratio, denom float64
+	realMajor    bool       // |real(m)| >= |imag(m)|
+	zero         complex128 // +0/m
+}
+
+func newCDivisor(m complex128) cDivisor {
+	d := cDivisor{m: m, realMajor: math.Abs(real(m)) >= math.Abs(imag(m))}
+	if d.realMajor {
+		d.ratio = imag(m) / real(m)
+		d.denom = real(m) + d.ratio*imag(m)
+	} else {
+		d.ratio = real(m) / imag(m)
+		d.denom = imag(m) + d.ratio*real(m)
+	}
+	d.zero = d.div(0)
+	return d
+}
+
+// div returns n/m.
+func (d *cDivisor) div(n complex128) complex128 {
+	var e, f float64
+	if d.realMajor {
+		e = (real(n) + imag(n)*d.ratio) / d.denom
+		f = (imag(n) - real(n)*d.ratio) / d.denom
+	} else {
+		e = (real(n)*d.ratio + imag(n)) / d.denom
+		f = (imag(n)*d.ratio - real(n)) / d.denom
+	}
+	if e != e && f != f {
+		// The runtime corrects this case for infinities and zeros.
+		return n / d.m
+	}
+	return complex(e, f)
+}
+
 // RefactorInto is the complex-field counterpart of LU.RefactorInto: it
 // refactors a reusing ref's pivot order with the same stability checks
 // (magnitudes taken in the cheap 1-norm), falling back to a full
 // partial-pivot FactorInto when the reused order goes bad. ref may be
 // f itself.
+//
+// MNA matrices are mostly structural zeros, so each elimination step
+// lists the nonzero columns right of the pivot once and updates only
+// those. Skipping a column j where rowK[j] is zero leaves rowI[j] with
+// the bits the full update would give it:
+//
+//   - every multiplier l that reaches the update passed the MultLimit
+//     check, so it is finite, and l·rowK[j] is a complex zero (its
+//     parts are ±0), never NaN;
+//   - under round-to-nearest, x − (±0) = x for every x that is not −0;
+//   - and no part of any entry is −0. Assembled cells start at +0 and
+//     are only ever added to, and a sum is −0 only when both terms are.
+//     An elimination update x − y is −0 only when x is −0, so by
+//     induction no update creates one.
+//
+// For an input that does hold −0 parts, the factors can differ from the
+// unskipped elimination only in the sign of a zero part. The growth
+// fold skips the zeros too: a zero never raises a maximum that starts
+// at 0.
 func (f *CLU) RefactorInto(a *CMatrix, ref *CLU) (reused bool, err error) {
 	n := a.N
 	if ref == nil || !ref.ok || ref.n != n {
@@ -168,24 +233,44 @@ func (f *CLU) RefactorInto(a *CMatrix, ref *CLU) (reused bool, err error) {
 	for i := 0; i < n; i++ {
 		copy(lu[i*n:i*n+n], a.Data[piv[i]*n:piv[i]*n+n])
 	}
+	if cap(f.nz) < n {
+		f.nz = make([]int, 0, n)
+	}
 	maxU, maxPiv := 0.0, 0.0
+	nz := f.nz[:0]
 	for k := 0; k < n; k++ {
 		rowK := lu[k*n : k*n+n]
-		for _, v := range rowK[k:] {
-			if av := cAbs1(v); av > maxU {
-				maxU = av
-			}
-		}
 		pivot := rowK[k]
 		pa := cAbs1(pivot)
+		if pa > maxU {
+			maxU = pa
+		}
+		nz = nz[:0]
+		for j := k + 1; j < n; j++ {
+			if v := rowK[j]; v != 0 {
+				if av := cAbs1(v); av > maxU {
+					maxU = av
+				}
+				nz = append(nz, j)
+			}
+		}
 		if !(pa > 0) {
 			return false, f.FactorInto(a) // zero or NaN pivot
 		}
 		if pa > maxPiv {
 			maxPiv = pa
 		}
+		d := newCDivisor(pivot)
 		for i := k + 1; i < n; i++ {
-			l := lu[i*n+k] / pivot
+			v := lu[i*n+k]
+			if math.Float64bits(real(v))|math.Float64bits(imag(v)) == 0 {
+				// +0/m is a complex zero for any pivot that passed the
+				// check above, so it passes the multiplier check and
+				// updates nothing.
+				lu[i*n+k] = d.zero
+				continue
+			}
+			l := d.div(v)
 			if !(cAbs1(l) <= MultLimit) {
 				return false, f.FactorInto(a) // unstable (or NaN) multiplier
 			}
@@ -194,11 +279,12 @@ func (f *CLU) RefactorInto(a *CMatrix, ref *CLU) (reused bool, err error) {
 				continue
 			}
 			rowI := lu[i*n : i*n+n]
-			for j := k + 1; j < n; j++ {
+			for _, j := range nz {
 				rowI[j] -= l * rowK[j]
 			}
 		}
 	}
+	f.nz = nz
 	if !(maxU <= GrowthLimit*maxPiv) {
 		return false, f.FactorInto(a) // runaway element growth
 	}

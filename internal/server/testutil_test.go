@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"analogyield/internal/core"
-	"analogyield/internal/server/api"
 	"analogyield/internal/process"
+	"analogyield/internal/server/api"
 )
 
 // quietLog keeps the structured request/job log out of test output.
