@@ -39,9 +39,11 @@ func AC(n *circuit.Netlist, op *OPResult, freqs []float64) (*ACResult, error) {
 	return ACWith(n, op, freqs, nil)
 }
 
-// acSweep solves the small-signal system of n at every frequency of
-// freqs and hands each solution to keep, which must copy what it needs
-// (x is overwritten by the next point).
+// acSweep solves the small-signal system of n at the frequencies of
+// freqs in order and hands each solution to keep, which must copy what
+// it needs (x is overwritten by the next point). The sweep stops after
+// the first point for which keep returns false; it returns the number
+// of points solved.
 //
 // The netlist is linearised about op once per sweep (see
 // circuit.ACStamps): every device, and so the compact model of every
@@ -50,10 +52,11 @@ func AC(n *circuit.Netlist, op *OPResult, freqs []float64) (*ACResult, error) {
 // frequency under full partial pivoting — fixes the pivot order every
 // point reuses (with a deterministic per-point fallback when the values
 // drift too far; see num.RefactorInto), so each point's solution
-// depends only on its frequency and the reference.
-func acSweep(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace, keep func(i int, x []complex128)) error {
+// depends only on its frequency and the reference. A sweep cut short
+// therefore solves the same bits as the same prefix of the full sweep.
+func acSweep(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace, keep func(i int, x []complex128) bool) (int, error) {
 	if err := validateFreqs(freqs); err != nil {
-		return err
+		return 0, err
 	}
 	lin := ws.acStamps()
 	lin.Linearise(n, op.X)
@@ -62,19 +65,21 @@ func acSweep(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace, k
 	nn := n.NumNodes()
 	assembleAC(lin, nn, freqs[0], cw)
 	if err := ref.FactorInto(cw.A); err != nil {
-		return fmt.Errorf("analysis: AC solve at %g Hz: %w", freqs[0], err)
+		return 0, fmt.Errorf("analysis: AC solve at %g Hz: %w", freqs[0], err)
 	}
 	for i, f := range freqs {
 		if i > 0 { // FactorInto left the first point's system intact
 			assembleAC(lin, nn, f, cw)
 		}
 		if _, err := cw.LU.RefactorInto(cw.A, ref); err != nil {
-			return fmt.Errorf("analysis: AC solve at %g Hz: %w", f, err)
+			return 0, fmt.Errorf("analysis: AC solve at %g Hz: %w", f, err)
 		}
 		cw.LU.Solve(cw.B, cw.X)
-		keep(i, cw.X)
+		if !keep(i, cw.X) {
+			return i + 1, nil
+		}
 	}
-	return nil
+	return len(freqs), nil
 }
 
 // assembleAC writes the system at frequency f into cw.A and cw.B.
@@ -107,9 +112,10 @@ func ACWith(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace) (*
 	nu := n.NumUnknowns()
 	res := &ACResult{Freqs: append([]float64(nil), freqs...), X: make([][]complex128, len(freqs)), net: n}
 	rows := make([]complex128, len(freqs)*nu)
-	err := acSweep(n, op, freqs, ws, func(i int, x []complex128) {
+	_, err := acSweep(n, op, freqs, ws, func(i int, x []complex128) bool {
 		res.X[i] = rows[i*nu : (i+1)*nu : (i+1)*nu]
 		copy(res.X[i], x)
+		return true
 	})
 	if err != nil {
 		return nil, err
@@ -120,20 +126,30 @@ func ACWith(n *circuit.Netlist, op *OPResult, freqs []float64, ws *Workspace) (*
 // ACNode is ACWith keeping only the response at one node: it returns
 // V(node) at each frequency, so a sweep allocates nothing per point.
 func ACNode(n *circuit.Netlist, op *OPResult, node string, freqs []float64, ws *Workspace) ([]complex128, error) {
+	return ACNodeUntil(n, op, node, freqs, ws, nil)
+}
+
+// ACNodeUntil is ACNode that stops early: after solving point i it
+// calls more(i, V(node)), and a false result ends the sweep there. It
+// returns the solved prefix, whose values have the same bits as the
+// same points of the full sweep (see acSweep). A nil more sweeps every
+// frequency.
+func ACNodeUntil(n *circuit.Netlist, op *OPResult, node string, freqs []float64, ws *Workspace, more func(i int, v complex128) bool) ([]complex128, error) {
 	idx, ok := n.NodeIndex(node)
 	if !ok {
 		return nil, fmt.Errorf("analysis: unknown node %q", node)
 	}
 	out := make([]complex128, len(freqs))
-	err := acSweep(n, op, freqs, ws, func(i int, x []complex128) {
+	m, err := acSweep(n, op, freqs, ws, func(i int, x []complex128) bool {
 		if idx != circuit.Ground {
 			out[i] = x[idx]
 		}
+		return more == nil || more(i, out[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return out[:m], nil
 }
 
 // ACDecade sweeps pointsPerDecade logarithmically spaced frequencies

@@ -196,6 +196,44 @@ func TestLinearisedSweepBitIdentical(t *testing.T) {
 	}
 }
 
+// TestACNodeUntilPrefixBitIdentical: a sweep that ACNodeUntil stops
+// after point k solves exactly points 0..k, and each has the bits of
+// the reference's full sweep at that point.
+func TestACNodeUntilPrefixBitIdentical(t *testing.T) {
+	freqs := num.Logspace(100, 1e9, 71)
+	ws := analysis.NewWorkspace()
+	for _, b := range benches() {
+		op, err := analysis.OP(b.n, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		want := referenceSweep(t, b.n, op, freqs)
+		out, _ := b.n.NodeIndex("out")
+		for _, stop := range []int{0, 1, 37, len(freqs) - 1, len(freqs)} {
+			seen := 0
+			v, err := analysis.ACNodeUntil(b.n, op, "out", freqs, ws, func(i int, v complex128) bool {
+				if i != seen || !sameBits(v, want[i][out]) {
+					t.Fatalf("%s: callback %d got point %d = %v, want %v", b.name, seen, i, v, want[i][out])
+				}
+				seen++
+				return i < stop
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", b.name, err)
+			}
+			if wantLen := min(stop+1, len(freqs)); len(v) != wantLen || seen != wantLen {
+				t.Fatalf("%s: stopping after point %d solved %d points (%d callbacks), want %d",
+					b.name, stop, len(v), seen, wantLen)
+			}
+			for i := range v {
+				if !sameBits(v[i], want[i][out]) {
+					t.Fatalf("%s: V(out)[%d] = %v, want %v (bit-exact)", b.name, i, v[i], want[i][out])
+				}
+			}
+		}
+	}
+}
+
 // referenceNoise is analysis.Noise as it was before linearisation:
 // every frequency stamped directly and factored under full pivoting.
 func referenceNoise(t *testing.T, n *circuit.Netlist, op *analysis.OPResult, outNode string, freqs []float64) map[string][]float64 {

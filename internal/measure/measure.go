@@ -35,17 +35,23 @@ func UnwrapPhaseDeg(tf []complex128) []float64 {
 	}
 	out[0] = PhaseDeg(tf[0])
 	for i := 1; i < len(tf); i++ {
-		p := PhaseDeg(tf[i])
-		prev := out[i-1]
-		for p-prev > 180 {
-			p -= 360
-		}
-		for p-prev < -180 {
-			p += 360
-		}
-		out[i] = p
+		out[i] = unwrapNext(out[i-1], tf[i])
 	}
 	return out
+}
+
+// unwrapNext returns the unwrapped phase (degrees) of h given the
+// unwrapped phase prev of the point before it: each point depends only
+// on the points before it, so a sweep can be unwrapped as it goes.
+func unwrapNext(prev float64, h complex128) float64 {
+	p := PhaseDeg(h)
+	for p-prev > 180 {
+		p -= 360
+	}
+	for p-prev < -180 {
+		p += 360
+	}
+	return p
 }
 
 // DCGainDB returns the gain of the lowest-frequency point in dB. The
@@ -68,47 +74,70 @@ func interpLog(f0, f1, y0, y1, target float64) float64 {
 	return math.Pow(10, math.Log10(f0)+t*(math.Log10(f1)-math.Log10(f0)))
 }
 
-// UnityGainFreq returns the frequency at which |H| crosses 1 (0 dB),
-// interpolating between sweep points on a log-frequency/dB grid.
+// UnityGainFreq returns the frequency at which |H| first crosses 1
+// (0 dB), interpolating between sweep points on a log-frequency/dB grid.
+// A first point already below 0 dB fails on its own, so a one-point
+// sweep reports that too. A crossing that interpolates to a non-finite
+// frequency (an infinite gain next to it) is not found.
 func UnityGainFreq(freqs []float64, tf []complex128) (float64, error) {
-	if len(freqs) != len(tf) || len(freqs) < 2 {
+	if len(freqs) != len(tf) || len(freqs) == 0 {
 		return 0, fmt.Errorf("measure: need matching sweeps of >= 2 points")
 	}
 	prev := GainDB(tf[0])
 	if prev < 0 {
 		return 0, fmt.Errorf("%w: gain already below 0 dB at %g Hz", ErrNotFound, freqs[0])
 	}
+	if len(freqs) < 2 {
+		return 0, fmt.Errorf("measure: need matching sweeps of >= 2 points")
+	}
 	for i := 1; i < len(freqs); i++ {
 		g := GainDB(tf[i])
 		if prev >= 0 && g < 0 {
-			return interpLog(freqs[i-1], freqs[i], prev, g, 0), nil
+			return unityCrossing(freqs[i-1], freqs[i], prev, g)
 		}
 		prev = g
 	}
 	return 0, fmt.Errorf("%w: unity-gain crossing above %g Hz", ErrNotFound, freqs[len(freqs)-1])
 }
 
+// unityCrossing interpolates the 0 dB crossing between the sweep points
+// (f0, g0 dB) and (f1, g1 dB), with g0 >= 0 > g1.
+func unityCrossing(f0, f1, g0, g1 float64) (float64, error) {
+	fu := interpLog(f0, f1, g0, g1, 0)
+	if math.IsNaN(fu) || math.IsInf(fu, 0) {
+		return 0, fmt.Errorf("%w: unity-gain crossing between %g and %g Hz is not finite", ErrNotFound, f0, f1)
+	}
+	return fu, nil
+}
+
 // PhaseAt returns the unwrapped phase (degrees) interpolated at
-// frequency f on a log-frequency grid.
+// frequency f on a log-frequency grid. It unwraps the sweep only up to
+// the first point at or above f; unwrapping is causal, so that gives
+// the bits UnwrapPhaseDeg of the whole sweep would.
 func PhaseAt(freqs []float64, tf []complex128, f float64) (float64, error) {
 	if len(freqs) != len(tf) || len(freqs) < 2 {
 		return 0, fmt.Errorf("measure: need matching sweeps of >= 2 points")
 	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("%w: phase at non-finite frequency %g", ErrNotFound, f)
+	}
 	if f < freqs[0] || f > freqs[len(freqs)-1] {
 		return 0, fmt.Errorf("%w: %g Hz outside sweep", ErrNotFound, f)
 	}
-	ph := UnwrapPhaseDeg(tf)
+	prev := PhaseDeg(tf[0])
 	for i := 1; i < len(freqs); i++ {
+		ph := unwrapNext(prev, tf[i])
 		if f <= freqs[i] {
 			lf0, lf1 := math.Log10(freqs[i-1]), math.Log10(freqs[i])
 			t := 0.0
 			if lf1 > lf0 {
 				t = (math.Log10(f) - lf0) / (lf1 - lf0)
 			}
-			return ph[i-1] + t*(ph[i]-ph[i-1]), nil
+			return prev + t*(ph-prev), nil
 		}
+		prev = ph
 	}
-	return ph[len(ph)-1], nil
+	return prev, nil
 }
 
 // PhaseMarginDeg returns 180° + phase at the unity-gain frequency, the

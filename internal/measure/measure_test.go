@@ -80,6 +80,36 @@ func TestUnityGainFreqNotFound(t *testing.T) {
 	}
 }
 
+// TestNonFiniteCrossingNotFound: an infinite gain next to the 0 dB
+// crossing interpolates it to NaN. UnityGainFreq reports that crossing
+// as not found, and PhaseAt refuses a non-finite frequency, so the
+// phase margin fails instead of reading the last point's phase.
+func TestNonFiniteCrossingNotFound(t *testing.T) {
+	fs := []float64{1e2, 1e3, 1e4, 1e5}
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		tf   []complex128
+	}{
+		{"infinite gain before the crossing", []complex128{10, complex(inf, 0), 0.5, 0.1}},
+		{"infinite first point", []complex128{complex(inf, 0), 0.5, 0.2, 0.1}},
+		{"infinite imaginary part", []complex128{10, complex(1, inf), 0.5, 0.1}},
+	} {
+		if fu, err := UnityGainFreq(fs, tc.tf); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: UnityGainFreq = %g, %v; want ErrNotFound", tc.name, fu, err)
+		}
+		if pm, err := PhaseMarginDeg(fs, tc.tf); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: PhaseMarginDeg = %g, %v; want ErrNotFound", tc.name, pm, err)
+		}
+	}
+	tf := onePole(fs, 100, 1e3)
+	for _, f := range []float64{math.NaN(), inf, math.Inf(-1)} {
+		if ph, err := PhaseAt(fs, tf, f); !errors.Is(err, ErrNotFound) {
+			t.Errorf("PhaseAt(%g) = %g, %v; want ErrNotFound", f, ph, err)
+		}
+	}
+}
+
 func TestPhaseMarginOnePole(t *testing.T) {
 	// A single-pole system has PM = 180 − 90·(asymptotic) ≈ 90° + small
 	// correction; exactly PM = 180 − atan(fu/fp) ≈ 90.57° for A0=100.

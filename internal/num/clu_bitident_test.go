@@ -50,7 +50,9 @@ func (p *refactorPair) setReference(t *testing.T, a *num.CMatrix) {
 }
 
 // check refactors a on both sides against their references and compares
-// the flag, the factors, the pivots and a solve, bit for bit.
+// the flag, the factors, the pivots and a solve, bit for bit. It then
+// factors a afresh into new buffers and compares their solves too, so
+// Solve's divisors are pinned after FactorInto as well as RefactorInto.
 func (p *refactorPair) check(t *testing.T, what string, a *num.CMatrix) (reused bool) {
 	t.Helper()
 	rg, eg := p.got.RefactorInto(a, p.gotRef)
@@ -62,14 +64,29 @@ func (p *refactorPair) check(t *testing.T, what string, a *num.CMatrix) (reused 
 		return false
 	}
 	compareFactors(t, what, p.got, p.want)
-	p.got.Solve(p.b, p.xg)
-	p.want.Solve(p.b, p.xw)
+	p.compareSolve(t, what+" (refactor)", p.got, p.want)
+	fg, fw := num.NewCLU(a.N), num.NewCLU(a.N)
+	if err := fg.FactorInto(a); err != nil {
+		t.Fatalf("%s: FactorInto: %v", what, err)
+	}
+	if err := fw.FactorInto(a); err != nil {
+		t.Fatalf("%s: FactorInto: %v", what, err)
+	}
+	p.compareSolve(t, what+" (factor)", fg, fw)
+	return rg
+}
+
+// compareSolve solves with the current Solve on got and with the
+// reference's complex division on want, bit for bit.
+func (p *refactorPair) compareSolve(t *testing.T, what string, got, want *num.CLU) {
+	t.Helper()
+	got.Solve(p.b, p.xg)
+	want.ReferenceSolve(p.b, p.xw)
 	for i := range p.xg {
 		if !sameBits(p.xg[i], p.xw[i]) {
 			t.Fatalf("%s: x[%d] = %v, reference %v", what, i, p.xg[i], p.xw[i])
 		}
 	}
-	return rg
 }
 
 func compareFactors(t *testing.T, what string, got, want *num.CLU) {

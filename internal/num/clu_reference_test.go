@@ -59,5 +59,34 @@ func (f *CLU) ReferenceRefactorInto(a *CMatrix, ref *CLU) (reused bool, err erro
 	return true, nil
 }
 
+// ReferenceSolve is CLU.Solve as it stood before it divided through the
+// per-pivot divisors: back substitution divides with Go's complex
+// division. ReferenceRefactorInto keeps no divisors, so a factorisation
+// it made is solved only through this.
+func (f *CLU) ReferenceSolve(b, x []complex128) {
+	n := f.n
+	y := f.y[:n]
+	for i := 0; i < n; i++ {
+		y[i] = b[f.piv[i]]
+	}
+	for i := 1; i < n; i++ {
+		row := f.lu[i*n : i*n+n]
+		s := y[i]
+		for j := 0; j < i; j++ {
+			s -= row[j] * y[j]
+		}
+		y[i] = s
+	}
+	for i := n - 1; i >= 0; i-- {
+		row := f.lu[i*n : i*n+n]
+		s := y[i]
+		for j := i + 1; j < n; j++ {
+			s -= row[j] * y[j]
+		}
+		y[i] = s / row[i]
+	}
+	copy(x, y)
+}
+
 // Factors exposes the packed LU factors and the row permutation.
 func (f *CLU) Factors() ([]complex128, []int) { return f.lu, f.piv }

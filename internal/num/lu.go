@@ -283,6 +283,7 @@ type CLU struct {
 	n   int
 	lu  []complex128
 	piv []int
+	div []cDivisor   // div[k] divides by U's k-th pivot, for Solve
 	y   []complex128 // Solve scratch
 	nz  []int        // RefactorInto scratch: nonzero columns of a pivot row
 	ok  bool         // a successful factorisation is present (pivots valid)
@@ -295,7 +296,7 @@ func NewCLU(n int) *CLU {
 		panic("num: negative CLU order")
 	}
 	return &CLU{n: n, lu: make([]complex128, n*n), piv: make([]int, n),
-		y: make([]complex128, n)}
+		div: make([]cDivisor, n), y: make([]complex128, n)}
 }
 
 // CFactor computes the complex LU factorisation of a without modifying it.
@@ -313,10 +314,12 @@ func (f *CLU) resize(n int) {
 	if cap(f.lu) < n*n {
 		f.lu = make([]complex128, n*n)
 		f.piv = make([]int, n)
+		f.div = make([]cDivisor, n)
 		f.y = make([]complex128, n)
 	} else {
 		f.lu = f.lu[:n*n]
 		f.piv = f.piv[:n]
+		f.div = f.div[:n]
 		f.y = f.y[:n]
 	}
 	f.n = n
@@ -324,7 +327,9 @@ func (f *CLU) resize(n int) {
 
 // FactorInto refactors a into f's buffers without allocating (buffers
 // grow only when the order increases). The contents of a are not
-// modified.
+// modified. Like RefactorInto it keeps a divisor per pivot for Solve;
+// its own eliminations divide with Go's complex division, which gives
+// the same bits.
 func (f *CLU) FactorInto(a *CMatrix) error {
 	n := a.N
 	f.resize(n)
@@ -355,6 +360,7 @@ func (f *CLU) FactorInto(a *CMatrix) error {
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
 		}
 		pivot := lu[k*n+k]
+		f.div[k] = newCDivisor(pivot)
 		for i := k + 1; i < n; i++ {
 			l := lu[i*n+k] / pivot
 			lu[i*n+k] = l
@@ -373,8 +379,11 @@ func (f *CLU) FactorInto(a *CMatrix) error {
 }
 
 // Solve solves A·x = b over the complex field, writing the result into x.
-// It reuses the factorisation's scratch vector, so concurrent Solve
-// calls on one CLU are not safe.
+// Back substitution divides through the per-pivot divisors the
+// factorisation kept, which give the bits of Go's complex division
+// without recomputing each pivot's ratio and denominator. It reuses the
+// factorisation's scratch vector, so concurrent Solve calls on one CLU
+// are not safe.
 func (f *CLU) Solve(b, x []complex128) {
 	n := f.n
 	if len(b) != n || len(x) != n {
@@ -401,7 +410,7 @@ func (f *CLU) Solve(b, x []complex128) {
 		for j := i + 1; j < n; j++ {
 			s -= row[j] * y[j]
 		}
-		y[i] = s / row[i]
+		y[i] = f.div[i].div(s)
 	}
 	copy(x, y)
 }

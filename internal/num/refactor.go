@@ -157,14 +157,11 @@ func cAbs1(v complex128) float64 {
 // on m alone, so they are computed once instead of once per quotient;
 // every quotient is then the same two expressions, evaluated in the same
 // order, as the runtime evaluates them, so it has the same bits (on
-// arm64 the compiler fuses the same multiply-adds in both). The quotient
-// of +0, which elimination meets at every structural zero below a
-// pivot, is kept.
+// arm64 the compiler fuses the same multiply-adds in both).
 type cDivisor struct {
 	m            complex128
 	ratio, denom float64
-	realMajor    bool       // |real(m)| >= |imag(m)|
-	zero         complex128 // +0/m
+	realMajor    bool // |real(m)| >= |imag(m)|
 }
 
 func newCDivisor(m complex128) cDivisor {
@@ -176,7 +173,6 @@ func newCDivisor(m complex128) cDivisor {
 		d.ratio = real(m) / imag(m)
 		d.denom = imag(m) + d.ratio*real(m)
 	}
-	d.zero = d.div(0)
 	return d
 }
 
@@ -261,13 +257,15 @@ func (f *CLU) RefactorInto(a *CMatrix, ref *CLU) (reused bool, err error) {
 			maxPiv = pa
 		}
 		d := newCDivisor(pivot)
+		f.div[k] = d
+		zero := d.div(0) // met at every structural zero below the pivot
 		for i := k + 1; i < n; i++ {
 			v := lu[i*n+k]
 			if math.Float64bits(real(v))|math.Float64bits(imag(v)) == 0 {
 				// +0/m is a complex zero for any pivot that passed the
 				// check above, so it passes the multiplier check and
 				// updates nothing.
-				lu[i*n+k] = d.zero
+				lu[i*n+k] = zero
 				continue
 			}
 			l := d.div(v)

@@ -276,8 +276,12 @@ func (c Config) Evaluate(p Params, sample *process.Sample) (Perf, error) {
 // one. Results are bit-identical to Evaluate's. A nil ws allocates
 // internally (identical to Evaluate). A workspace serves one goroutine
 // at a time — give each evaluation worker its own.
+//
+// The AC sweep stops at the last point the measurements read (see
+// measure.SweepTracker), so it solves only a prefix of the grid; the
+// prefix has the bits of the full sweep's, and so has every figure.
 func (c Config) EvaluateWS(p Params, sample *process.Sample, ws *analysis.Workspace) (Perf, error) {
-	freqs, tf, vout, err := c.response(p, sample, 10, ws)
+	freqs, tf, vout, err := c.response(p, sample, 10, true, ws)
 	if err != nil {
 		return Perf{}, err
 	}
@@ -287,7 +291,7 @@ func (c Config) EvaluateWS(p Params, sample *process.Sample, ws *analysis.Worksp
 // Response returns the open-loop frequency response (Fig 8's series) at
 // pointsPerDecade resolution.
 func (c Config) Response(p Params, sample *process.Sample, pointsPerDecade int) ([]float64, []complex128, error) {
-	freqs, tf, _, err := c.response(p, sample, pointsPerDecade, nil)
+	freqs, tf, _, err := c.response(p, sample, pointsPerDecade, false, nil)
 	return freqs, tf, err
 }
 
@@ -299,6 +303,7 @@ type testbench struct {
 	ms    [10]*circuit.MOSFET
 	ppd   int
 	freqs []float64
+	track measure.SweepTracker
 }
 
 type testbenchKey struct{}
@@ -307,7 +312,9 @@ func newTestbench() any { return new(testbench) }
 
 // response simulates the testbench kept in ws (see testbench). The
 // returned frequencies belong to that testbench when ws is non-nil.
-func (c Config) response(p Params, sample *process.Sample, ppd int, ws *analysis.Workspace) ([]float64, []complex128, float64, error) {
+// When measured is set, the sweep stops once the points so far fix what
+// perfFrom reads, and freqs and tf are that prefix of the sweep.
+func (c Config) response(p Params, sample *process.Sample, ppd int, measured bool, ws *analysis.Workspace) ([]float64, []complex128, float64, error) {
 	if err := validate(p); err != nil {
 		return nil, nil, 0, err
 	}
@@ -330,11 +337,16 @@ func (c Config) response(p Params, sample *process.Sample, ppd int, ws *analysis
 		return nil, nil, 0, fmt.Errorf("ota: %w", err)
 	}
 	vout, _ := op.V("out")
-	tf, err := analysis.ACNode(tb.n, op, "out", tb.freqs, ws)
+	var more func(int, complex128) bool
+	if measured {
+		tb.track.Reset()
+		more = func(i int, v complex128) bool { return tb.track.Add(tb.freqs[i], v) }
+	}
+	tf, err := analysis.ACNodeUntil(tb.n, op, "out", tb.freqs, ws, more)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("ota: %w", err)
 	}
-	return tb.freqs, tf, vout, nil
+	return tb.freqs[:len(tf)], tf, vout, nil
 }
 
 func perfFrom(freqs []float64, tf []complex128, vout float64) (Perf, error) {

@@ -1,6 +1,7 @@
 package ota
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -373,5 +374,103 @@ func TestEvaluateWSAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(runs, eval); n > 8 {
 		t.Errorf("EvaluateWS allocates %v objects/op, want <= 8", n)
+	}
+}
+
+// TestEvaluateWSEarlyStopBitIdentical: EvaluateWS stops its AC sweep
+// once the measurements are fixed. Every Perf field and every error
+// must equal what the full sweep gives, bit for bit, across random
+// Table 1 sizings at nominal, at Monte Carlo samples and at ±3σ
+// corners, and on testbenches whose evaluation fails or is marginal —
+// and the sweeps must actually stop early on average.
+func TestEvaluateWSEarlyStopBitIdentical(t *testing.T) {
+	proc := process.C35()
+	space := DefaultSpace()
+	rng := rand.New(rand.NewSource(23))
+	ws := analysis.NewWorkspace()
+	var evals, swept, solved, failed int
+	check := func(what string, c Config, p Params, sample func() *process.Sample) {
+		t.Helper()
+		got, gerr := c.EvaluateWS(p, sample(), ws)
+		want, werr := Perf{}, error(nil)
+		freqs, tf, vout, err := c.response(p, sample(), 10, false, nil)
+		if err != nil {
+			werr = err
+		} else {
+			want, werr = perfFrom(freqs, tf, vout)
+			var tr measure.SweepTracker
+			m := len(tf)
+			for i := range tf {
+				if !tr.Add(freqs[i], tf[i]) {
+					m = i + 1
+					break
+				}
+			}
+			swept++
+			solved += m
+		}
+		evals++
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("%s: error %v, full sweep %v", what, gerr, werr)
+		}
+		if werr != nil {
+			failed++
+		}
+		for k, pair := range [][2]float64{
+			{got.GainDB, want.GainDB}, {got.PMDeg, want.PMDeg}, {got.UnityHz, want.UnityHz},
+			{got.BW3dB, want.BW3dB}, {got.VOut, want.VOut},
+		} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("%s: field %d = %v, full sweep %v (bit-exact)", what, k, pair[0], pair[1])
+			}
+		}
+	}
+	nominal := func() *process.Sample { return nil }
+	for i := 0; i < 500; i++ {
+		genes := make([]float64, 8)
+		for k := range genes {
+			genes[k] = rng.Float64()
+		}
+		p, err := space.Denormalize(genes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := DefaultConfig()
+		check(fmt.Sprintf("sizing %d nominal", i), c, p, nominal)
+		for s := 0; s < 3; s++ {
+			check(fmt.Sprintf("sizing %d sample %d", i, s), c, p,
+				func() *process.Sample { return proc.NewSample(int64(i), s) })
+		}
+		corner := process.Corners()[i%len(process.Corners())]
+		for _, sigma := range []float64{3, -3} {
+			check(fmt.Sprintf("sizing %d corner %v %+gσ", i, corner, sigma), c, p,
+				func() *process.Sample { return proc.CornerSample(corner, sigma) })
+		}
+		if i%25 == 0 {
+			// A starved supply or bias puts the DC gain below 0 dB;
+			// a rail-hugging common mode or a vanishing load moves
+			// both crossings.
+			for k, mod := range []func(*Config){
+				func(c *Config) { c.VDD = 0.6 },
+				func(c *Config) { c.IBias = 1e-13 },
+				func(c *Config) { c.VCM = 0.1 },
+				func(c *Config) { c.VCM = 3.2 },
+				func(c *Config) { c.CLoad = 1e-18 },
+			} {
+				hostile := DefaultConfig()
+				mod(&hostile)
+				check(fmt.Sprintf("sizing %d testbench %d", i, k), hostile, p, nominal)
+			}
+		}
+	}
+	freqs, err := analysis.DecadeFreqs(sweepStart, sweepStop, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := len(freqs)
+	mean := float64(solved) / float64(swept)
+	t.Logf("%d evaluations (%d failed), %.1f of %d AC points solved on average", evals, failed, mean, points)
+	if mean >= float64(points) {
+		t.Errorf("sweeps solved %.1f of %d points on average; want an early stop", mean, points)
 	}
 }
